@@ -100,7 +100,8 @@ let () =
   in
 
   (* alias analysis: per-SCC Andersen footprints + the aliased-frame
-     lint, with the same trusted-primitive model the engine uses *)
+     lint, with the same trusted-primitive model the engine uses, and
+     like the engine one whole-program solve shared by every SCC *)
   let trusted =
     List.map
       (fun (s : Absdata.t Mirverif.Spec.t) -> s.Mirverif.Spec.name)
@@ -119,7 +120,8 @@ let () =
   in
   let alias, alias_s =
     time (fun () ->
-        List.map (fun funcs -> Analysis.Alias_lint.check alias_cfg ~funcs) sccs)
+        let infos = Analysis.Alias.analyze ~prim:alias_cfg.prim program in
+        List.map (fun funcs -> Analysis.Alias_lint.check ~infos alias_cfg ~funcs) sccs)
   in
   dump "alias" (List.concat_map fst alias);
   let al_exact =

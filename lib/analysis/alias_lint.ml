@@ -92,8 +92,12 @@ let touches_param (s : Alias.summary) j =
 let writes_param (s : Alias.summary) j =
   Alias.LocSet.mem (Alias.Lparam j) s.Alias.fp.Alias.writes
 
-let check cfg ~funcs =
-  let infos = Alias.analyze ~prim:cfg.prim cfg.program in
+let check ?infos cfg ~funcs =
+  let infos =
+    match infos with
+    | Some infos -> infos
+    | None -> Alias.analyze ~prim:cfg.prim cfg.program
+  in
   let ictx =
     Interval_lint.A.create_ctx ~prim:(fun ~func:_ ~args:_ -> None) cfg.program
   in

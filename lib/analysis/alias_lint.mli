@@ -29,6 +29,11 @@ type stats = {
 }
 
 val check :
+  ?infos:Alias.info Alias.StrMap.t ->
   config -> funcs:string list -> (string * Lint.finding) list * stats
 (** Analyze the given functions (one SCC); findings are tagged with
-    the containing function's name. *)
+    the containing function's name.  [infos] is the whole-program
+    {!Alias.analyze} result for [config.program] under [config.prim]
+    (solved here when absent): the solve is a deterministic fixpoint
+    over the whole program, so callers checking several SCCs may solve
+    once and share it without changing any finding. *)

@@ -524,7 +524,8 @@ let refusal ctx fn =
 
 let ctx ?(seed = 2024) layout =
   (* building the pool also warms the layout-keyed compile/stack/boot
-     caches, so a ctx built up front is safe to share across domains *)
+     caches, so once built the ctx is safe to share across domains;
+     built from a worker, it relies on [Layers.warm] having run first *)
   let pool = make_pool ~seed layout in
   ignore (Layers.stack layout);
   let ctx =

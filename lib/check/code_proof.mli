@@ -13,10 +13,15 @@ type ctx
     batteries), the warmed compile/stack caches, and a per-function
     check memo — case generation is deterministic given (seed, layout),
     so each function's check is built exactly once per ctx instead of
-    once per obligation run.  Build one ctx up front and reuse it
-    across per-function runs — including runs on other domains: the
-    memo is pre-filled at ctx build from a single domain and
-    mutex-guarded after that. *)
+    once per obligation run.  Build one ctx per (seed, layout) and
+    reuse it across per-function runs — including runs on other
+    domains: the memo is pre-filled at ctx build, in the building
+    domain, and mutex-guarded after that.  The build itself need not
+    happen up front: it reads only the layout's memo tables, so once
+    [Layers.warm] has filled them any domain may build it.  The engine
+    builds it on the first code-proof obligation that executes
+    ([Engine.Plan]'s once-cell), so a run whose proofs all come from
+    the cache never pays for it. *)
 
 val ctx : ?seed:int -> Hyperenclave.Layout.t -> ctx
 

@@ -18,6 +18,7 @@ type t = {
   model_check : mc_request option;
   overrides : bool;
   override_counts : (string * int) list;
+  ctx : Check.Code_proof.ctx Once.t;
 }
 
 let phases =
@@ -92,13 +93,8 @@ let analysis_obligations ?(lints = Analysis.Lint.all) layout =
              bodies: the lints read exactly one function's MIRlight, so
              the cache entry survives anything that doesn't change it *)
           let fingerprint =
-            let mir =
-              match Mir.Syntax.find_body out.Rustlite.Pipeline.program fn with
-              | Some body -> Digest.to_hex (Digest.string (Mir.Pp.body_to_string body))
-              | None -> "missing"
-            in
             Printf.sprintf "%s;lints=%s;layer=%s;fn=%s;mir=%s" analysis_version
-              lint_tags lname fn mir
+              lint_tags lname fn (Layers.body_digest layout fn)
           in
           Obligation.v ~id ~phase:"analysis" ~deps:[] ~fingerprint (fun () ->
               match Mir.Syntax.find_body out.Rustlite.Pipeline.program fn with
@@ -140,14 +136,8 @@ let borrow_obligations ?(lints = Analysis.Lint.catalogue) layout =
                loans of one body never see another, so the fingerprint
                is the function's own MIRlight digest and nothing else *)
             let fingerprint =
-              let mir =
-                match Mir.Syntax.find_body out.Rustlite.Pipeline.program fn with
-                | Some body ->
-                    Digest.to_hex (Digest.string (Mir.Pp.body_to_string body))
-                | None -> "missing"
-              in
               Printf.sprintf "%s;lints=%s;layer=%s;fn=%s;mir=%s" borrow_version
-                lint_tags lname fn mir
+                lint_tags lname fn (Layers.body_digest layout fn)
             in
             Obligation.v ~id ~phase:"borrow" ~deps:[] ~fingerprint (fun () ->
                 match Mir.Syntax.find_body out.Rustlite.Pipeline.program fn with
@@ -193,6 +183,14 @@ let absint_report ~name ~functions findings =
   in
   List.fold_left (fun rep _ -> Report.add_pass rep) rep functions
 
+(* The MIR ingredient of a per-SCC fingerprint: the digest of every
+   body in the SCC's transitive callee closure. *)
+let closure_fp layout cg members =
+  String.concat ","
+    (List.map
+       (fun fn -> fn ^ "=" ^ Layers.body_digest layout fn)
+       (Analysis.Callgraph.reachable cg members))
+
 let absint_obligations ?(lints = Analysis.Lint.catalogue) layout =
   let domains =
     (if List.mem Analysis.Lint.Interval_bounds lints then [ "interval" ] else [])
@@ -205,11 +203,6 @@ let absint_obligations ?(lints = Analysis.Lint.catalogue) layout =
     let cg = Analysis.Callgraph.build program in
     let sccs = Array.of_list (Analysis.Callgraph.sccs cg) in
     let scc_name members = String.concat "+" members in
-    let digest_of fn =
-      match Mir.Syntax.find_body program fn with
-      | Some body -> Digest.to_hex (Digest.string (Mir.Pp.body_to_string body))
-      | None -> "missing"
-    in
     List.concat_map
       (fun domain ->
         List.map
@@ -223,12 +216,7 @@ let absint_obligations ?(lints = Analysis.Lint.catalogue) layout =
                 (fun i -> absint_id ~domain (scc_name sccs.(i)))
                 (Analysis.Callgraph.callee_sccs cg members)
             in
-            let mir =
-              String.concat ","
-                (List.map
-                   (fun fn -> fn ^ "=" ^ digest_of fn)
-                   (Analysis.Callgraph.reachable cg members))
-            in
+            let mir = closure_fp layout cg members in
             (* the taint verdict additionally depends on the layout (the
                secret/sink policy is derived from it); intervals don't,
                so their entries survive layout changes that leave the
@@ -242,6 +230,14 @@ let absint_obligations ?(lints = Analysis.Lint.catalogue) layout =
                   Printf.sprintf "%s;domain=%s;scc=%s;mir=%s" absint_version
                     domain name mir
             in
+            (* Each SCC runs with a fresh abstract-interpretation context,
+               never one shared across SCCs or with the whole-program
+               check: [Absint.create_ctx ?max_contexts] bounds the calling
+               contexts per callee per ctx, so in a shared ctx the
+               contexts an SCC's callees get would depend on which
+               callers outside its fingerprinted closure ran first, and
+               a warm cache could replay a verdict the SCC's own MIR no
+               longer determines. *)
             Obligation.v ~id ~phase:"absint" ~deps ~fingerprint (fun () ->
                 let findings =
                   match domain with
@@ -272,11 +268,6 @@ let alias_obligations ?(lints = Analysis.Lint.catalogue) layout =
     let cg = Analysis.Callgraph.build program in
     let sccs = Array.of_list (Analysis.Callgraph.sccs cg) in
     let scc_name members = String.concat "+" members in
-    let digest_of fn =
-      match Mir.Syntax.find_body program fn with
-      | Some body -> Digest.to_hex (Digest.string (Mir.Pp.body_to_string body))
-      | None -> "missing"
-    in
     let cfg =
       {
         Analysis.Alias_lint.program;
@@ -284,6 +275,12 @@ let alias_obligations ?(lints = Analysis.Lint.catalogue) layout =
         fn_layer = Layers.layer_of_function layout;
         accessor = handle_accessor layout;
       }
+    in
+    (* one Andersen solve per plan, on first use: it is a deterministic
+       whole-program fixpoint, so every SCC reads the same summaries it
+       would solve for itself *)
+    let infos =
+      Once.make (fun () -> Analysis.Alias.analyze ~prim:cfg.prim program)
     in
     List.map
       (fun members ->
@@ -296,12 +293,7 @@ let alias_obligations ?(lints = Analysis.Lint.catalogue) layout =
             (fun i -> alias_id (scc_name sccs.(i)))
             (Analysis.Callgraph.callee_sccs cg members)
         in
-        let mir =
-          String.concat ","
-            (List.map
-               (fun fn -> fn ^ "=" ^ digest_of fn)
-               (Analysis.Callgraph.reachable cg members))
-        in
+        let mir = closure_fp layout cg members in
         (* the discharge side consults the layer map and interval
            reachability, both layout-derived, so the layout is a
            fingerprint ingredient like secret-flow's *)
@@ -311,7 +303,8 @@ let alias_obligations ?(lints = Analysis.Lint.catalogue) layout =
         in
         Obligation.v ~id ~phase:"alias" ~deps ~fingerprint (fun () ->
             let findings, _stats =
-              Analysis.Alias_lint.check cfg ~funcs:members
+              Analysis.Alias_lint.check ~infos:(Once.force infos) cfg
+                ~funcs:members
             in
             Obligation.outcome ~findings
               [ absint_report ~name:id ~functions:members findings ]))
@@ -327,8 +320,7 @@ let code_proof_version = "code-proof-compose-v1"
 (* Legacy monolithic plan shape, preserved byte-for-byte behind
    [--no-overrides]: layer-barrier dependency edges, and fingerprints
    digesting the whole MIR closure at and below the function's layer. *)
-let monolithic_code_proof_obligations ?(seed = 2024) layout =
-  let ctx = Check.Code_proof.ctx ~seed layout in
+let monolithic_code_proof_obligations ~ctx ~seed layout =
   let out = Layers.compiled layout in
   let base_fp = Printf.sprintf "%s;seed=%d" (layout_fp layout) seed in
   (* MIR accumulated bottom-up: a function's fingerprint digests its
@@ -373,8 +365,10 @@ let monolithic_code_proof_obligations ?(seed = 2024) layout =
                    equivalent by the differential suite *)
                 Obligation.v ~id ~phase:"code-proofs" ~deps:prev_layer_ids ~fingerprint
                   ~fallback:(fun () ->
-                    outcome_of (Check.Code_proof.run_function_interp ctx fn))
-                  (fun () -> outcome_of (Check.Code_proof.run_function ctx fn)))
+                    outcome_of
+                      (Check.Code_proof.run_function_interp (Once.force ctx) fn))
+                  (fun () ->
+                    outcome_of (Check.Code_proof.run_function (Once.force ctx) fn)))
               fns
           in
           (List.map (fun (o : Obligation.t) -> o.Obligation.id) ids, acc @ [ (lname, ids) ])
@@ -398,15 +392,9 @@ let monolithic_code_proof_obligations ?(seed = 2024) layout =
    rather than assuming an unproven spec.  Both executors produce
    identical verdicts (pinned by the differential suite), so the
    choice is invisible to reports, stdout, and the cache. *)
-let composed_code_proof_obligations ?(seed = 2024) layout =
-  let ctx = Check.Code_proof.ctx ~seed layout in
-  let program = (Layers.compiled layout).Rustlite.Pipeline.program in
+let composed_code_proof_obligations ~ctx ~seed layout =
   let base_fp = Printf.sprintf "%s;seed=%d" (layout_fp layout) seed in
-  let digest_of fn =
-    match Mir.Syntax.find_body program fn with
-    | Some body -> Digest.to_hex (Digest.string (Mir.Pp.body_to_string body))
-    | None -> "missing"
-  in
+  let digest_of = Layers.body_digest layout in
   let proven : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   let proven_mu = Mutex.create () in
   let mark fn (o : Obligation.outcome) =
@@ -463,18 +451,30 @@ let composed_code_proof_obligations ?(seed = 2024) layout =
                 in
                 Obligation.v ~id ~phase:"code-proofs" ~deps ~fingerprint
                   ~fallback:(fun () ->
-                    outcome_of (Check.Code_proof.run_function_interp ctx fn))
+                    outcome_of
+                      (Check.Code_proof.run_function_interp (Once.force ctx) fn))
                   ~on_outcome:(mark fn)
                   (fun () ->
+                    let ctx = Once.force ctx in
                     if stubs <> [] && List.for_all is_proven stubs then
                       outcome_of (Check.Code_proof.run_function_composed ctx fn)
                     else outcome_of (Check.Code_proof.run_function ctx fn)))
               fns ))
     Mem_spec.layer_names
 
-let code_proof_obligations ?(seed = 2024) ?(overrides = true) layout =
-  if overrides then composed_code_proof_obligations ~seed layout
-  else monolithic_code_proof_obligations ~seed layout
+(* The check context (input pool, per-function batteries, composed
+   environments) is only needed by obligations that execute, so it is a
+   once-cell forced by the first code-proof thunk or interpreter
+   fallback: a run served entirely from the cache never builds it. *)
+let code_proof_ctx ~seed layout = Once.make (fun () -> Check.Code_proof.ctx ~seed layout)
+
+let code_proof_obligations ?(seed = 2024) ?(overrides = true) ?ctx layout =
+  (* whichever worker forces the context must find every global memo
+     its build reads already filled, from this domain *)
+  Layers.warm layout;
+  let ctx = match ctx with Some c -> c | None -> code_proof_ctx ~seed layout in
+  if overrides then composed_code_proof_obligations ~ctx ~seed layout
+  else monolithic_code_proof_obligations ~ctx ~seed layout
 
 (* Per-function same-layer stub counts: the number of call-graph edges
    override composition replaces with contract stubs.  Deterministic
@@ -831,7 +831,8 @@ let build ?(quick = false) ?(security = true)
   if security then
     (* forces the attack module's lazily built layout from this domain *)
     ignore (Security.Attacks.run Security.Attacks.healthy);
-  let by_layer = code_proof_obligations ~seed ~overrides layout in
+  let ctx = code_proof_ctx ~seed layout in
+  let by_layer = code_proof_obligations ~seed ~overrides ~ctx layout in
   let code = List.concat_map snd by_layer in
   let top_ids = last_layer_ids by_layer in
   let pt_ids =
@@ -868,7 +869,7 @@ let build ?(quick = false) ?(security = true)
       (analysis @ absint @ borrow @ alias @ code @ refine @ security_obls @ mc)
   in
   { dag; layout; seed; quick; security; lints; model_check; overrides;
-    override_counts = override_counts layout }
+    override_counts = override_counts layout; ctx }
 
 (* ------------------------------------------------------------------ *)
 (* Memoized build                                                      *)

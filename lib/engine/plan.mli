@@ -43,6 +43,11 @@ type t = {
       (** per spec-owned function, bottom-up: how many same-layer
           call-graph edges override composition replaces with contract
           stubs (zeros included, so rollup keys are stable) *)
+  ctx : Check.Code_proof.ctx Once.t;
+      (** the code-proof check context, built by the first code-proof
+          obligation (or interpreter fallback) that executes and shared
+          by the rest; a run whose code proofs all hit the cache never
+          builds it *)
 }
 
 val phases : string list
@@ -60,9 +65,17 @@ val build :
   Hyperenclave.Layout.t ->
   t
 (** [build ~seed layout] constructs the DAG and warms every
-    layout-keyed memo table ([Layers.warm], the attack module's lazy
+    layout-keyed memo table ([Layers.warm], including the per-body MIR
+    digests every fingerprint reads, and the attack module's lazy
     layout) in the calling domain, so worker domains only read shared
-    state.  [~security:false] (x86_64 geometry) drops phases 5-8;
+    state.  Construction pays only for obligation ids, edges and
+    fingerprints: state that only executing obligations need — the
+    code-proof context ([ctx]) and the whole-program alias solve
+    — lives in mutex-guarded once-cells ({!Once}) that the first
+    executing obligation builds.  Building it is idempotent, and an
+    exception while building leaves the cell empty for the retry or
+    fallback to build again.  [~security:false] (x86_64 geometry) drops
+    phases 5-8;
     [~quick] shrinks trial/state counts like the CLI's [--quick];
     [~lints] selects the static-analysis lints (default: the whole
     catalogue). *)
@@ -81,7 +94,9 @@ val build_memo :
     switches — so a hit returns the previously built plan ([build_s] =
     0); a miss builds and records it ([hit = false], [build_s] = the
     construction wall time).  Reusing a plan across runs is sound: the
-    DAG is immutable and the override hooks are idempotent.  The memo
+    DAG is immutable, the override hooks are idempotent, and the
+    plan's lazily built code-proof context is built at most once and
+    then shared by every later run of the plan.  The memo
     is process-global, mutex-guarded, and FIFO-bounded (32 entries) —
     the daemon's resident warm path, but equally usable by embedders of
     the engine API. *)
@@ -130,13 +145,19 @@ val alias_obligations :
     {!Analysis.Lint.Alias_footprint} is selected (empty otherwise).
     Depends on its callee SCCs' alias obligations and is fingerprinted
     on the layout plus the MIRlight digests of the SCC's transitive
-    callee closure, like {!absint_obligations}'s secret-flow domain. *)
+    callee closure, like {!absint_obligations}'s secret-flow domain.
+    All of the plan's alias obligations share one {!Analysis.Alias.analyze}
+    solve, run by the first of them that executes. *)
 
 val code_proof_obligations :
-  ?seed:int -> ?overrides:bool -> Hyperenclave.Layout.t ->
-  (string * Obligation.t list) list
+  ?seed:int -> ?overrides:bool -> ?ctx:Check.Code_proof.ctx Once.t ->
+  Hyperenclave.Layout.t -> (string * Obligation.t list) list
 (** Per-layer code-proof obligations, bottom-up; exposed for tests and
-    for cache-invalidation experiments.
+    for cache-invalidation experiments.  Every obligation's thunk and
+    fallback force [ctx] (default: a fresh cell over
+    [Check.Code_proof.ctx ~seed layout]); building the obligations
+    never does.  The layout's memo tables are warmed in the calling
+    domain, so whichever worker forces the cell only reads them.
 
     With [~overrides:true] (the default), dependency edges follow the
     call graph — a caller waits on exactly the spec-owned functions it

@@ -78,6 +78,36 @@ let compiled_for layout ~layer =
       in
       ct
 
+(* MIRlight digests, one per body per compiled program: every engine
+   fingerprint that names a body (per-function lints, per-SCC closures,
+   code-proof own/uses ingredients) reads this table instead of
+   pretty-printing and digesting the body again.  Mutex-guarded like
+   the compiled-env table and filled by [warm]; a table, once built, is
+   never mutated, so it is read outside the lock. *)
+let digest_mutex = Mutex.create ()
+let digest_cache : (Layout.t, (string, string) Hashtbl.t) Hashtbl.t = Hashtbl.create 4
+
+let digests layout =
+  Mutex.lock digest_mutex;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock digest_mutex)
+    (fun () ->
+      match Hashtbl.find_opt digest_cache layout with
+      | Some t -> t
+      | None ->
+          let program = (compiled layout).Rustlite.Pipeline.program in
+          let t = Hashtbl.create 64 in
+          Mir.Syntax.fold_bodies
+            (fun fn body () ->
+              Hashtbl.replace t fn
+                (Digest.to_hex (Digest.string (Mir.Pp.body_to_string body))))
+            program ();
+          Hashtbl.add digest_cache layout t;
+          t)
+
+let body_digest layout fn =
+  Option.value ~default:"missing" (Hashtbl.find_opt (digests layout) fn)
+
 let layer_of_function layout name =
   List.find_opt
     (fun (t : Mem_spec.t) -> String.equal t.Mem_spec.spec.Mirverif.Spec.name name)
@@ -106,6 +136,7 @@ let warm layout =
   ignore (compiled layout);
   ignore (stack layout);
   ignore (Boot.booted layout);
+  ignore (digests layout);
   (* pre-compile every layer's closure form so worker domains only
      read the compiled-env table *)
   List.iter (fun layer -> ignore (compiled_for layout ~layer)) Mem_spec.layer_names

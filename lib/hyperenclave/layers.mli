@@ -26,6 +26,13 @@ val compiled_for : Layout.t -> layer:string -> Absdata.t Mir.Compile.t
 (** Closure-compiled environment for one layer (memoized per
     [(layout, layer)], mutex-guarded; pre-filled by {!warm}). *)
 
+val body_digest : Layout.t -> string -> string
+(** Hex MD5 of the function's pretty-printed MIRlight body in the
+    module compiled for this layout, or ["missing"] when it has none.
+    Digested once per body per layout (memoized, mutex-guarded;
+    pre-filled by {!warm}): the ingredient of every engine fingerprint
+    that names a body. *)
+
 val layer_of_function : Layout.t -> string -> string option
 val functions_of_layer : Layout.t -> string -> string list
 
@@ -37,7 +44,7 @@ val stratification_ok : Layout.t -> Mirverif.Layer.stratification_issue list
 
 val warm : Layout.t -> unit
 (** Force the layout-keyed memo tables ({!compiled}, {!stack},
-    {!compiled_for} for every layer, the boot state) from the calling
-    domain.  The parallel verification engine
-    calls this before spawning workers: afterwards the tables are only
-    read, which is safe concurrently. *)
+    {!compiled_for} for every layer, {!body_digest}, the boot state)
+    from the calling domain.  The parallel verification engine calls
+    this before spawning workers: afterwards the tables are only read,
+    which is safe concurrently. *)

@@ -171,13 +171,28 @@ let model_check_json model_check execs =
 let count_cache execs status =
   List.length (List.filter (fun (e : Engine.Pool.exec) -> e.cache = status) execs)
 
+(* Two honest clocks per phase: [busy_s] sums its obligations' run
+   times, so at jobs > 1 it can exceed the run's [elapsed_s]; [span_s]
+   is the wall-clock interval from its first start to its last finish
+   (0 for a phase with no obligations). *)
 let phase_summary execs phase =
   let es = of_phase execs phase in
   let executed = List.length es - count_cache es Engine.Pool.Hit in
-  let wall =
+  let busy =
     List.fold_left
       (fun acc (e : Engine.Pool.exec) -> acc +. (e.finished -. e.started))
       0.0 es
+  in
+  let span =
+    match es with
+    | [] -> 0.0
+    | e0 :: _ ->
+        List.fold_left
+          (fun acc (e : Engine.Pool.exec) -> Float.max acc e.finished)
+          e0.finished es
+        -. List.fold_left
+             (fun acc (e : Engine.Pool.exec) -> Float.min acc e.started)
+             e0.started es
   in
   Jsonx.Obj
     [
@@ -185,7 +200,8 @@ let phase_summary execs phase =
       ("obligations", Int (List.length es));
       ("executed", Int executed);
       ("cache_hits", Int (count_cache es Engine.Pool.Hit));
-      ("wall_s", Float wall);
+      ("busy_s", Float busy);
+      ("span_s", Float span);
     ]
 
 let supervision_json (totals : Engine.Supervisor.totals)

@@ -45,8 +45,14 @@
 # gate holds BENCH_serve.json to >= 1000 warm responses/s from the
 # 4-process fleet, with fleet scaling judged against the cores the
 # machine actually has.
+#
+# The benchmark's own self-tests (perfbench/selftest.py: percentile and
+# weighting logic, metric names, the answer checker) run first; they
+# need no build and start no process.
 set -eu
 cd "$(dirname "$0")/.."
+
+python3 perfbench/selftest.py
 
 dune build @all
 dune runtest

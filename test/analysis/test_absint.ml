@@ -410,6 +410,107 @@ let test_absint_obligations () =
         (Engine.Obligation.failure_count e.Engine.Pool.outcome))
     execs
 
+(* ------------------------------------------------------------------ *)
+(* Why absint runs per SCC with a fresh context                        *)
+
+(* ctxb_id returns its argument.  ctxb_many (one SCC) calls it with the
+   eight constants 10..17 — exactly the per-callee calling-context
+   budget of one analysis context (Absint.create_ctx's default
+   max_contexts = 8).  ctxb_index (another SCC) calls it with 3 and
+   indexes a 4-array with the result: a ninth context. *)
+let fix_ctx_id () =
+  let b = B.create ~name:"ctxb_id" ~params:[ ("_1", u64, Syn.Ktemp) ] ~ret_ty:u64 in
+  B.assign_var b Syn.return_var (Syn.Use (B.copy "_1"));
+  B.terminate b Syn.Return;
+  B.finish b
+
+let call_ctxb_id b dest k =
+  let next = B.fresh_block b in
+  B.terminate b
+    (Syn.Call
+       { dest = B.pvar dest; func = "ctxb_id"; args = [ B.cu64 k ]; target = Some next });
+  B.switch_to b next
+
+let fix_ctx_many () =
+  let b = B.create ~name:"ctxb_many" ~params:[] ~ret_ty:u64 in
+  let t = B.temp b u64 in
+  for k = 10 to 17 do
+    call_ctxb_id b t k
+  done;
+  B.assign_var b Syn.return_var (Syn.Use (B.copy t));
+  B.terminate b Syn.Return;
+  B.finish b
+
+let fix_ctx_index () =
+  let b = B.create ~name:"ctxb_index" ~params:[] ~ret_ty:u64 in
+  let arr = B.local b ~name:"arr" (Mir.Ty.Array (u64, 4)) in
+  let t = B.temp b u64 in
+  B.assign_var b arr (Syn.Repeat (B.cu64 0, 4));
+  call_ctxb_id b t 3;
+  B.assign_var b Syn.return_var (Syn.Use (B.copy_place (B.pindex (B.pvar arr) t)));
+  B.terminate b Syn.Return;
+  B.finish b
+
+let bound_errors_in fn tagged =
+  List.filter
+    (fun (g, (f : Lint.finding)) ->
+      String.equal g fn && f.Lint.severity = Lint.Error
+      && f.Lint.kind = Lint.Interval_bounds)
+    tagged
+
+(* A context shared across SCCs changes an SCC's verdict: analyzed in
+   its own context, ctxb_index proves its index is exactly 3; analyzed
+   after ctxb_many in the same context, the callee's budget is spent,
+   the call falls back to the top context and the index may escape.
+   The verdict would then depend on callers outside ctxb_index's
+   fingerprinted closure, so the engine must keep one fresh context
+   per SCC obligation. *)
+let test_context_budget_per_scc () =
+  let program =
+    Syn.program_of_bodies [ fix_ctx_id (); fix_ctx_many (); fix_ctx_index () ]
+  in
+  let cg = Analysis.Callgraph.build program in
+  Alcotest.(check bool) "the callers are different SCCs" true
+    (Analysis.Callgraph.scc_of cg "ctxb_many" <> Analysis.Callgraph.scc_of cg "ctxb_index");
+  Alcotest.(check (list string)) "ctxb_index's closure excludes ctxb_many"
+    [ "ctxb_id"; "ctxb_index" ]
+    (Analysis.Callgraph.reachable cg [ "ctxb_index" ]);
+  let fresh, _ = Analysis.Interval_lint.check program ~funcs:[ "ctxb_index" ] in
+  Alcotest.(check int) "fresh context: the index is proven in bounds" 0
+    (List.length (bound_errors_in "ctxb_index" fresh));
+  (* one check over both functions analyzes them in one shared context *)
+  let shared, _ =
+    Analysis.Interval_lint.check program ~funcs:[ "ctxb_many"; "ctxb_index" ]
+  in
+  Alcotest.(check int) "shared context: the budget is spent, the index may escape" 1
+    (List.length (bound_errors_in "ctxb_index" shared))
+
+let render_findings tagged =
+  String.concat "\n"
+    (List.map (fun (fn, f) -> fn ^ ": " ^ Lint.finding_to_string f) tagged)
+
+(* Every absint obligation of the plan reports exactly what a fresh,
+   per-SCC check of that SCC reports. *)
+let test_plan_absint_is_fresh_per_scc () =
+  let program = seed_program () in
+  let obls = Engine.Plan.absint_obligations layout in
+  let run id =
+    match List.find_opt (fun (o : Engine.Obligation.t) -> o.Engine.Obligation.id = id) obls with
+    | Some o -> (o.Engine.Obligation.run ()).Engine.Obligation.findings
+    | None -> Alcotest.failf "no obligation %s" id
+  in
+  let policy = Security.Labels.secret_flow_config layout program in
+  List.iter
+    (fun members ->
+      let scc = String.concat "+" members in
+      Alcotest.(check string) ("interval " ^ scc)
+        (render_findings (fst (Analysis.Interval_lint.check program ~funcs:members)))
+        (render_findings (run ("absint/interval/" ^ scc)));
+      Alcotest.(check string) ("secret-flow " ^ scc)
+        (render_findings (fst (Analysis.Secret_flow.check policy ~funcs:members)))
+        (render_findings (run ("absint/secret-flow/" ^ scc))))
+    (Analysis.Callgraph.sccs (Analysis.Callgraph.build program))
+
 let () =
   Alcotest.run "absint"
     [
@@ -433,5 +534,9 @@ let () =
         [
           Alcotest.test_case "callgraph" `Quick test_callgraph;
           Alcotest.test_case "absint obligations" `Quick test_absint_obligations;
+          Alcotest.test_case "context budget is per SCC" `Quick
+            test_context_budget_per_scc;
+          Alcotest.test_case "plan absint is fresh per SCC" `Quick
+            test_plan_absint_is_fresh_per_scc;
         ] );
     ]

@@ -524,6 +524,114 @@ let test_alias_footprint_fires () =
           (fun (_, (f : Lint.finding)) -> f.Lint.severity = Lint.Error)
           findings))
 
+(* leak_handle takes a FrameAlloc handle and touches nothing: its
+   footprint is exact, so fix_passed's encapsulation finding earns an
+   alias-footprint discharge certificate read off the solve. *)
+let fix_leak_handle () =
+  let b =
+    B.create ~name:"leak_handle"
+      ~params:[ ("h", Mir.Ty.Ref (Mir.Ty.Opaque "FrameAlloc"), Syn.Klocal) ]
+      ~ret_ty:Mir.Ty.Unit
+  in
+  B.terminate b Syn.Return;
+  B.finish b
+
+let render_tagged findings =
+  String.concat "\n"
+    (List.map (fun (fn, f) -> fn ^ ": " ^ Lint.finding_to_string f) findings)
+
+let render_alias (findings, (st : Analysis.Alias_lint.stats)) =
+  Printf.sprintf "%s\nfunctions=%d footprints=%d findings=%d discharged=%d"
+    (render_tagged findings) st.Analysis.Alias_lint.functions
+    st.Analysis.Alias_lint.footprints st.Analysis.Alias_lint.findings
+    st.Analysis.Alias_lint.discharged
+
+(* Per SCC of [cfg.program]: (scc, re-solving check, shared-solve check). *)
+let alias_both_ways (cfg : Analysis.Alias_lint.config) =
+  let infos = Alias.analyze ~prim:cfg.Analysis.Alias_lint.prim cfg.Analysis.Alias_lint.program in
+  List.map
+    (fun members ->
+      ( String.concat "+" members,
+        render_alias (Analysis.Alias_lint.check cfg ~funcs:members),
+        render_alias (Analysis.Alias_lint.check ~infos cfg ~funcs:members) ))
+    (Analysis.Callgraph.sccs (Analysis.Callgraph.build cfg.Analysis.Alias_lint.program))
+
+(* The engine solves Andersen once per plan and hands that solve to
+   every SCC's check.  The solve is a deterministic whole-program
+   fixpoint, so each SCC's findings must be byte-identical to a check
+   that re-solves: over the negative fixtures and over the seed
+   program on both geometries, where the plan's own alias obligations
+   must agree too. *)
+let test_alias_shared_solve_exact () =
+  let same name rows =
+    Alcotest.(check bool) (name ^ ": some SCCs") true (rows <> []);
+    List.iter
+      (fun (scc, resolved, shared) ->
+        Alcotest.(check string) (name ^ " " ^ scc) resolved shared)
+      rows
+  in
+  let program =
+    Syn.program_of_bodies
+      [
+        fix_writer (); fix_caller_aliased (); fix_caller_disjoint ();
+        fix_handle_passed (); fix_leak_handle ();
+      ]
+  in
+  let cfg =
+    {
+      (alias_cfg program) with
+      Analysis.Alias_lint.fn_layer =
+        (function "fix_passed" -> Some "PtMap" | _ -> None);
+    }
+  in
+  let rows = alias_both_ways cfg in
+  same "fixtures" rows;
+  let fires scc needle =
+    match List.find_opt (fun (s, _, _) -> s = scc) rows with
+    | Some (_, _, shared) -> has_substring shared needle
+    | None -> false
+  in
+  Alcotest.(check bool) "the aliased frame-handle leak fires" true
+    (fires "caller_aliased" "may alias");
+  Alcotest.(check bool) "the opaque-callee certificate is emitted" true
+    (fires "fix_passed" "stays opaque");
+  List.iter
+    (fun geom ->
+      let layout = Hyperenclave.Layout.default geom in
+      let program = (Hyperenclave.Layers.compiled layout).Rustlite.Pipeline.program in
+      let trusted =
+        List.map
+          (fun (s : Hyperenclave.Absdata.t Mirverif.Spec.t) -> s.Mirverif.Spec.name)
+          Hyperenclave.Trusted.all
+      in
+      let cfg =
+        {
+          Analysis.Alias_lint.program;
+          prim = Check.Code_proof.prim_summary;
+          fn_layer = Hyperenclave.Layers.layer_of_function layout;
+          accessor =
+            (fun ~owner ~callee ->
+              List.mem callee trusted
+              || Hyperenclave.Layers.layer_of_function layout callee = Some owner);
+        }
+      in
+      let name = Hyperenclave.Geometry.(if geom == x86_64 then "x86_64" else "tiny") in
+      same name (alias_both_ways cfg);
+      let obls = Engine.Plan.alias_obligations layout in
+      List.iter
+        (fun members ->
+          let id = "alias/points-to/" ^ String.concat "+" members in
+          match
+            List.find_opt (fun (o : Engine.Obligation.t) -> o.Engine.Obligation.id = id) obls
+          with
+          | None -> Alcotest.failf "%s: no obligation %s" name id
+          | Some o ->
+              Alcotest.(check string) (name ^ " plan " ^ id)
+                (render_tagged (fst (Analysis.Alias_lint.check cfg ~funcs:members)))
+                (render_tagged (o.Engine.Obligation.run ()).Engine.Obligation.findings))
+        (Analysis.Callgraph.sccs (Analysis.Callgraph.build program)))
+    [ Hyperenclave.Geometry.tiny; Hyperenclave.Geometry.x86_64 ]
+
 let test_alias_footprints_exact () =
   let program =
     Syn.program_of_bodies [ fix_writer (); fix_caller_disjoint () ]
@@ -799,6 +907,7 @@ let () =
           Alcotest.test_case "alias-footprint fires" `Quick test_alias_footprint_fires;
           Alcotest.test_case "footprints exact" `Quick test_alias_footprints_exact;
           Alcotest.test_case "certify" `Quick test_alias_certify;
+          Alcotest.test_case "shared solve exact" `Quick test_alias_shared_solve_exact;
         ] );
       ( "callgraph",
         [

@@ -648,6 +648,136 @@ let test_certify_frames_disjoint () =
         (contains e "inexact")
 
 (* ------------------------------------------------------------------ *)
+(* The plan's lazily built code-proof context                          *)
+
+module Once = Engine.Once
+module Supervisor = Engine.Supervisor
+
+(* A cold plan forces its context from whichever worker runs the first
+   code proof; at jobs=4 several workers race for it, and the reports
+   must still match a serial run of another cold plan. *)
+let test_lazy_ctx_cold_jobs_invariant () =
+  let p1 = Plan.build ~quick:true ~seed:2024 layout in
+  let p4 = Plan.build ~quick:true ~seed:2024 layout in
+  Alcotest.(check bool) "a built plan has not built its context" false
+    (Once.is_forced p4.Plan.ctx);
+  let r1 = render (Pool.run ~jobs:1 p1.Plan.dag) in
+  let r4 = render (Pool.run ~oversubscribe:true ~jobs:4 p4.Plan.dag) in
+  Alcotest.(check string) "cold jobs=4 reports equal jobs=1" r1 r4;
+  Alcotest.(check bool) "executing code proofs built it" true
+    (Once.is_forced p4.Plan.ctx)
+
+(* A run whose code proofs all come from the cache never builds the
+   context: a second, freshly built plan replays everything. *)
+let test_lazy_ctx_untouched_when_warm () =
+  let cache = Cache.create ~dir:(fresh_dir ()) in
+  let cold = Plan.build ~quick:true ~seed:2024 layout in
+  ignore (Pool.run ~cache ~oversubscribe:true ~jobs:2 cold.Plan.dag);
+  let warm = Plan.build ~quick:true ~seed:2024 layout in
+  let execs = Pool.run ~cache ~oversubscribe:true ~jobs:2 warm.Plan.dag in
+  Alcotest.(check bool) "all hits" true
+    (List.for_all (( = ) Pool.Hit) (statuses execs));
+  Alcotest.(check bool) "the warm plan never built its context" false
+    (Once.is_forced warm.Plan.ctx)
+
+let code_proof_dag ?ctx () =
+  Dag.build_exn (List.concat_map snd (Plan.code_proof_obligations ~seed:2024 ?ctx layout))
+
+(* A clean serial run of the code proofs: its rendering, and the id of
+   the obligation that ran first (the one whose thunk forces the
+   context). *)
+let clean_code_proofs () =
+  let execs = Pool.run ~jobs:1 (code_proof_dag ()) in
+  let first =
+    List.fold_left
+      (fun (a : Pool.exec) (e : Pool.exec) -> if e.started < a.started then e else a)
+      (List.hd execs) execs
+  in
+  (render execs, first.obligation.Obligation.id)
+
+(* A context builder that raises on its first call, then builds. *)
+let flaky_ctx () =
+  let calls = Atomic.make 0 in
+  let cell =
+    Once.make (fun () ->
+        if Atomic.fetch_and_add calls 1 = 0 then failwith "context build failed"
+        else Check.Code_proof.ctx ~seed:2024 layout)
+  in
+  (cell, calls)
+
+let resolutions execs =
+  List.filter_map
+    (fun (e : Pool.exec) ->
+      match e.trail.Supervisor.resolution with
+      | Supervisor.Completed -> None
+      | r -> Some (e.obligation.Obligation.id, Supervisor.resolution_to_string r))
+    execs
+
+(* The first force raises: the cell stays empty, and the same
+   obligation's retry (or, with no retry budget, its interpreter
+   fallback) builds it again — the reports equal a clean run. *)
+let test_lazy_ctx_failed_build_retried () =
+  let clean, first_id = clean_code_proofs () in
+  let once = Once.make (fun () -> failwith "context build failed") in
+  (match Once.force once with
+  | _ -> Alcotest.fail "the builder's exception was swallowed"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "a failed build leaves the cell empty" false
+    (Once.is_forced once);
+  (* retry budget: the failed attempt is retried and recovers *)
+  let ctx, calls = flaky_ctx () in
+  let sup = { Supervisor.default with retries = 2; sleep = ignore } in
+  let execs = Pool.run ~sup ~jobs:1 (code_proof_dag ~ctx ()) in
+  Alcotest.(check string) "retried: reports equal a clean run" clean (render execs);
+  Alcotest.(check int) "built twice: the failure, then the retry" 2 (Atomic.get calls);
+  Alcotest.(check (list (pair string string))) "only the first obligation recovered"
+    [ (first_id, "recovered") ] (resolutions execs);
+  (* no retry budget: the interpreter fallback builds it *)
+  let ctx, calls = flaky_ctx () in
+  let execs = Pool.run ~jobs:1 (code_proof_dag ~ctx ()) in
+  Alcotest.(check string) "fallback: reports equal a clean run" clean (render execs);
+  Alcotest.(check int) "built twice: the failure, then the fallback" 2 (Atomic.get calls);
+  Alcotest.(check (list (pair string string))) "only the first obligation fell back"
+    [ (first_id, "fell-back") ] (resolutions execs);
+  Alcotest.(check bool) "built" true (Once.is_forced ctx)
+
+(* Engine chaos crashes the first code proof before its thunk runs: the
+   retry is then the first force, and the verdicts stay clean. *)
+let test_lazy_ctx_under_engine_chaos () =
+  let clean, first_id = clean_code_proofs () in
+  let crashes_first seed =
+    let ch = Engine.Engine_chaos.create ~kinds:[ Fault.Plan.Obl_crash ] ~seed () in
+    match Engine.Engine_chaos.obl_fault ch ~id:first_id with
+    | Engine.Engine_chaos.Crash _ -> true
+    | _ -> false
+  in
+  let seed =
+    match List.find_opt crashes_first (List.init 10_000 Fun.id) with
+    | Some s -> s
+    | None -> Alcotest.fail "no chaos seed crashes the first code proof"
+  in
+  let calls = Atomic.make 0 in
+  let ctx =
+    Once.make (fun () ->
+        Atomic.incr calls;
+        Check.Code_proof.ctx ~seed:2024 layout)
+  in
+  let sup =
+    {
+      Supervisor.default with
+      retries = 2;
+      sleep = ignore;
+      chaos =
+        Some (Engine.Engine_chaos.create ~kinds:[ Fault.Plan.Obl_crash ] ~seed ());
+    }
+  in
+  let execs = Pool.run ~sup ~jobs:1 (code_proof_dag ~ctx ()) in
+  Alcotest.(check string) "chaos: reports equal a clean run" clean (render execs);
+  Alcotest.(check (option string)) "the first code proof crashed and recovered"
+    (Some "recovered") (List.assoc_opt first_id (resolutions execs));
+  Alcotest.(check int) "built exactly once" 1 (Atomic.get calls)
+
+(* ------------------------------------------------------------------ *)
 (* Clock                                                               *)
 
 (* the pool's timestamps all come from Engine.Clock, so a mocked source
@@ -740,6 +870,16 @@ let () =
             test_certify_frames_disjoint;
           Alcotest.test_case "fingerprints shrink to direct callees" `Quick
             test_override_fingerprints_shrink;
+        ] );
+      ( "lazy ctx",
+        [
+          Alcotest.test_case "cold jobs=4 equals jobs=1" `Quick
+            test_lazy_ctx_cold_jobs_invariant;
+          Alcotest.test_case "warm run never builds it" `Quick
+            test_lazy_ctx_untouched_when_warm;
+          Alcotest.test_case "failed build is retried" `Quick
+            test_lazy_ctx_failed_build_retried;
+          Alcotest.test_case "engine chaos" `Quick test_lazy_ctx_under_engine_chaos;
         ] );
       ("clock", [ Alcotest.test_case "mockable source" `Quick test_clock_mockable ]);
       ("jsonx", [ Alcotest.test_case "emission" `Quick test_jsonx ]);
