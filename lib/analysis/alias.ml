@@ -54,9 +54,6 @@ type fp = { reads : LocSet.t; writes : LocSet.t }
 
 let fp_empty = { reads = LocSet.empty; writes = LocSet.empty }
 
-let fp_union a b =
-  { reads = LocSet.union a.reads b.reads; writes = LocSet.union a.writes b.writes }
-
 let exact (fp : fp) =
   (not (LocSet.mem Lunknown fp.reads)) && not (LocSet.mem Lunknown fp.writes)
 
@@ -74,14 +71,9 @@ let summary_equal a b =
 
 type info = { summary : summary; vars : LocSet.t StrMap.t }
 
-(* May the two points-to sets address overlapping storage?  [Lunknown]
-   overlaps everything; [witness] demands a definite common location
-   (what the Error-severity lint requires, so the lint only fires on
-   provable conflicts). *)
-let may_overlap a b =
-  LocSet.mem Lunknown a || LocSet.mem Lunknown b
-  || not (LocSet.is_empty (LocSet.inter a b))
-
+(* A definite common location of the two points-to sets, [Lunknown]
+   excluded: what the Error-severity lint requires, so the lint only
+   fires on provable conflicts. *)
 let witness a b =
   LocSet.choose_opt (LocSet.remove Lunknown (LocSet.inter a b))
 

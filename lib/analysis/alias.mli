@@ -27,7 +27,6 @@ val locs_to_string : LocSet.t -> string
 type fp = { reads : LocSet.t; writes : LocSet.t }
 
 val fp_empty : fp
-val fp_union : fp -> fp -> fp
 
 val exact : fp -> bool
 (** No {!Lunknown} on either side: the footprint is a proof, not a
@@ -40,9 +39,6 @@ type summary = { fp : fp; ret : LocSet.t; esc : IntSet.t }
 val summary_bot : summary
 
 type info = { summary : summary; vars : LocSet.t StrMap.t }
-
-val may_overlap : LocSet.t -> LocSet.t -> bool
-(** Shared location, or either side unknown. *)
 
 val witness : LocSet.t -> LocSet.t -> loc option
 (** A definite common location (never {!Lunknown}); what the

@@ -312,8 +312,6 @@ let to_int_opt = function Int i -> Some i | _ -> None
 
 let to_bool_opt = function Bool b -> Some b | _ -> None
 
-let to_list_opt = function List xs -> Some xs | _ -> None
-
 let write_file path content =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () ->

@@ -38,7 +38,6 @@ val member : string -> t -> t option
 val to_string_opt : t -> string option
 val to_int_opt : t -> int option
 val to_bool_opt : t -> bool option
-val to_list_opt : t -> t list option
 
 val write_file : string -> string -> unit
 val write_lines : string -> t list -> unit

@@ -17,120 +17,33 @@ type exec = {
 
 type stats = { respawns : int; lost_workers : int }
 
-(* ------------------------------------------------------------------ *)
-(* Work-stealing deques                                                *)
-
-(* Chase–Lev-shaped deque: the owner pushes and pops at the hot end
-   (LIFO, so freshly released dependents run while their inputs are
-   warm), thieves take from the cold end in batches of half.  A
-   per-deque mutex stands in for the full lock-free protocol — the
-   critical sections move a few words, the owner's lock is almost
-   always uncontended, and thieves only show up when they are out of
-   local work anyway. *)
-module Deque = struct
-  type t = {
-    mu : Mutex.t;
-    mutable buf : string array;
-    mutable head : int;  (* cold end: index of the oldest element *)
-    mutable len : int;
-  }
-
-  let create () = { mu = Mutex.create (); buf = Array.make 64 ""; head = 0; len = 0 }
-
-  let grow d =
-    let cap = Array.length d.buf in
-    let nb = Array.make (2 * cap) "" in
-    for i = 0 to d.len - 1 do
-      nb.(i) <- d.buf.((d.head + i) mod cap)
-    done;
-    d.buf <- nb;
-    d.head <- 0
-
-  (* owner: append a batch of newly ready ids under one lock *)
-  let push_batch d ids =
-    Mutex.lock d.mu;
-    List.iter
-      (fun id ->
-        if d.len = Array.length d.buf then grow d;
-        d.buf.((d.head + d.len) mod Array.length d.buf) <- id;
-        d.len <- d.len + 1)
-      ids;
-    Mutex.unlock d.mu
-
-  (* owner: newest element *)
-  let pop d =
-    Mutex.lock d.mu;
-    let r =
-      if d.len = 0 then None
-      else begin
-        d.len <- d.len - 1;
-        let i = (d.head + d.len) mod Array.length d.buf in
-        let id = d.buf.(i) in
-        d.buf.(i) <- "";
-        Some id
-      end
-    in
-    Mutex.unlock d.mu;
-    r
-
-  let length d =
-    Mutex.lock d.mu;
-    let n = d.len in
-    Mutex.unlock d.mu;
-    n
-
-  (* thief: the oldest half (rounded up), oldest first — batch dequeue
-     so a thief pays the lock once, not once per obligation *)
-  let steal_half d =
-    Mutex.lock d.mu;
-    let n = (d.len + 1) / 2 in
-    let cap = Array.length d.buf in
-    let out = ref [] in
-    for i = n - 1 downto 0 do
-      let j = (d.head + i) mod cap in
-      out := d.buf.(j) :: !out;
-      d.buf.(j) <- ""
-    done;
-    d.head <- (d.head + n) mod cap;
-    d.len <- d.len - n;
-    Mutex.unlock d.mu;
-    !out
-end
-
-(* ------------------------------------------------------------------ *)
-(* Scheduler                                                           *)
-
-(* Shared scheduler state.  Obligation flow is deque-local: a worker
-   pushes the dependents it releases onto its own deque and steals only
-   when empty-handed, so the single global lock of the old pool (and
-   its per-completion [Condition.broadcast] stampede) is gone.  The
-   [sleep_*] fields exist purely for parking idle workers: a producer
-   bumps [epoch] and signals at most as many sleepers as it published
-   surplus items; broadcast happens exactly once, at shutdown. *)
+(* Shared scheduler state: one ready stack under one lock.  Obligations
+   are few and short (a few hundred, well under a millisecond each), so
+   the lock is held for a handful of list and table operations per
+   obligation and is rarely contended.  Idle workers wait on [cond]: a
+   producer signals once per obligation it makes ready, and [broadcast]
+   happens only at shutdown. *)
 type sched = {
   dag : Dag.t;
   cache : Cache.t option;
   sup : Supervisor.config;
-  deques : Deque.t array;
-  indeg : (string, int Atomic.t) Hashtbl.t;  (* pre-filled, then read-only structure *)
-  (* per-obligation publish flag: an obligation can execute twice when
-     a chaos kill lands between computing and publishing, but its
-     dependents are released and the completion counter bumped exactly
-     once — the CAS winner does the bookkeeping *)
-  done_flags : (string, bool Atomic.t) Hashtbl.t;
-  inflight : string option array;  (* what each worker is holding, for respawn re-push *)
-  completed : int Atomic.t;
   total : int;
-  lives : int Atomic.t;  (* remaining respawn budget, shared by all workers *)
-  alive : int Atomic.t;
-  respawned : int Atomic.t;
-  lost : int Atomic.t;
-  sleep_mu : Mutex.t;
-  sleep_cond : Condition.t;
-  mutable sleepers : int;  (* guarded by sleep_mu *)
-  mutable epoch : int;  (* guarded by sleep_mu; bumped when work appears *)
-  mutable shutdown : bool;  (* guarded by sleep_mu *)
   t0 : float;
+  mu : Mutex.t;
+  cond : Condition.t;
+  (* every field below is guarded by [mu] *)
+  mutable ready : string list;  (* LIFO: freshly released dependents run next *)
+  indeg : (string, int) Hashtbl.t;
+  (* an obligation can execute twice when a chaos kill lands between
+     computing and publishing, but its dependents are released and
+     [completed] bumped only by the first publish *)
+  published : (string, unit) Hashtbl.t;
+  mutable completed : int;
+  mutable lives : int;  (* remaining respawn budget, shared by all workers *)
+  mutable alive : int;
+  mutable respawned : int;
+  mutable lost : int;
+  mutable shutdown : bool;
 }
 
 let crash_outcome (o : Obligation.t) reason =
@@ -163,85 +76,51 @@ let execute sched (o : Obligation.t) =
   (match o.Obligation.on_outcome with None -> () | Some f -> f outcome);
   result
 
+(* the callers below hold [mu] *)
+let push sched id =
+  sched.ready <- id :: sched.ready;
+  Condition.signal sched.cond
+
 let shutdown sched =
-  Mutex.lock sched.sleep_mu;
   sched.shutdown <- true;
   (* the pool's only broadcast *)
-  Condition.broadcast sched.sleep_cond;
-  Mutex.unlock sched.sleep_mu
+  Condition.broadcast sched.cond
 
-(* targeted wakeups: one signal per surplus item, never more than
-   there are sleepers to receive them *)
-let wake sched surplus =
-  if surplus > 0 then begin
-    Mutex.lock sched.sleep_mu;
-    sched.epoch <- sched.epoch + 1;
-    let n = min surplus sched.sleepers in
-    for _ = 1 to n do
-      Condition.signal sched.sleep_cond
-    done;
-    Mutex.unlock sched.sleep_mu
-  end
-
-(* own deque first, then steal half of someone else's *)
-let next_work sched wid =
-  match Deque.pop sched.deques.(wid) with
-  | Some id -> Some id
-  | None ->
-      let jobs = Array.length sched.deques in
-      let rec scan k =
-        if k >= jobs then None
-        else
-          match Deque.steal_half sched.deques.((wid + k) mod jobs) with
-          | [] -> scan (k + 1)
-          | id :: rest ->
-              Deque.push_batch sched.deques.(wid) rest;
-              Some id
-      in
-      scan 1
-
-(* Park until work appears or the pool shuts down.  The epoch read
-   happens before the rescan, so a producer that publishes after the
-   scan necessarily bumps the epoch we compare against — no lost
-   wakeups. *)
-let rec obtain sched wid =
-  match next_work sched wid with
-  | Some id -> Some id
-  | None ->
-      Mutex.lock sched.sleep_mu;
-      if sched.shutdown then begin
-        Mutex.unlock sched.sleep_mu;
-        None
-      end
-      else begin
-        let e = sched.epoch in
-        Mutex.unlock sched.sleep_mu;
-        match next_work sched wid with
-        | Some id -> Some id
-        | None ->
-            Mutex.lock sched.sleep_mu;
-            let rec wait () =
-              if sched.shutdown then begin
-                Mutex.unlock sched.sleep_mu;
-                None
-              end
-              else if sched.epoch <> e then begin
-                Mutex.unlock sched.sleep_mu;
-                obtain sched wid
-              end
-              else begin
-                sched.sleepers <- sched.sleepers + 1;
-                Condition.wait sched.sleep_cond sched.sleep_mu;
-                sched.sleepers <- sched.sleepers - 1;
-                wait ()
-              end
-            in
+(* Pop the newest ready obligation, parking while there is none.  Work
+   still on the stack is handed out even after shutdown, so workers
+   that outlive a failed peer drain what is ready. *)
+let obtain sched =
+  Mutex.protect sched.mu (fun () ->
+      let rec wait () =
+        match sched.ready with
+        | id :: rest ->
+            sched.ready <- rest;
+            Some id
+        | [] when sched.shutdown -> None
+        | [] ->
+            Condition.wait sched.cond sched.mu;
             wait ()
-      end
+      in
+      wait ())
 
-(* Results go to a domain-local buffer — no shared-table lock on the
-   completion path — and are merged after the join. *)
-let worker sched wid buf =
+let publish sched id =
+  Mutex.protect sched.mu (fun () ->
+      if not (Hashtbl.mem sched.published id) then begin
+        Hashtbl.replace sched.published id ();
+        List.iter
+          (fun d ->
+            let n = Hashtbl.find sched.indeg d - 1 in
+            Hashtbl.replace sched.indeg d n;
+            if n = 0 then push sched d)
+          (Dag.dependents_of sched.dag id);
+        sched.completed <- sched.completed + 1;
+        if sched.completed = sched.total then shutdown sched
+      end)
+
+(* Results go to a domain-local buffer, merged after the join, so the
+   lock guards scheduling state only.  [inflight] is what the worker
+   holds, for the re-push after a kill. *)
+let worker sched wid buf inflight =
   let kill_point site id =
     match sched.sup.Supervisor.chaos with
     | Some ch when Engine_chaos.kill_worker ch ~site ~id ->
@@ -249,7 +128,7 @@ let worker sched wid buf =
     | _ -> ()
   in
   let rec loop () =
-    match obtain sched wid with
+    match obtain sched with
     | None -> ()
     | Some id ->
         let o =
@@ -257,7 +136,7 @@ let worker sched wid buf =
           | Some o -> o
           | None -> invalid_arg ("Pool: unknown obligation " ^ id)
         in
-        sched.inflight.(wid) <- Some id;
+        inflight := Some id;
         kill_point "pre-exec" id;
         let started = Clock.now () -. sched.t0 in
         let outcome, cache, trail = execute sched o in
@@ -268,58 +147,49 @@ let worker sched wid buf =
         buf :=
           { obligation = o; outcome; cache; worker = wid; started; finished; trail }
           :: !buf;
-        sched.inflight.(wid) <- None;
-        let flag = Hashtbl.find sched.done_flags id in
-        if Atomic.compare_and_set flag false true then begin
-          let ready =
-            List.filter
-              (fun d -> Atomic.fetch_and_add (Hashtbl.find sched.indeg d) (-1) = 1)
-              (Dag.dependents_of sched.dag id)
-          in
-          if ready <> [] then Deque.push_batch sched.deques.(wid) ready;
-          (* the worker pops one of them next itself; only the surplus
-             needs other hands *)
-          wake sched (List.length ready - 1);
-          if Atomic.fetch_and_add sched.completed 1 + 1 = sched.total then
-            shutdown sched
-        end;
+        inflight := None;
+        publish sched id;
         loop ()
   in
   loop ()
 
 (* The worker's survival wrapper.  A chaos kill ([Worker_killed])
-   "kills the domain": the obligation it held goes back on its deque
+   "kills the domain": the obligation it held goes back on the stack
    and, while the shared respawn budget lasts, the worker restarts
    in-domain (equivalent to joining the dead domain and spawning a
    fresh one, without paying for a real spawn).  Past the budget the
-   worker stays dead — its queued obligations remain visible to
-   thieves, so survivors drain them; we wake enough sleepers to come
-   stealing, and if the last live worker dies the pool shuts down and
-   the merge synthesizes crash outcomes for whatever never ran.  Any
-   other scheduler-level failure (not an obligation crash — the
-   supervisor absorbs those) still shuts the pool down rather than
-   stranding workers in [Condition.wait]. *)
+   worker stays dead and the survivors take what is on the stack; if
+   the last live worker dies the pool shuts down and the merge
+   synthesizes crash outcomes for whatever never ran.  Any other
+   scheduler-level failure (not an obligation crash — the supervisor
+   absorbs those) still shuts the pool down rather than stranding
+   workers in [Condition.wait]. *)
 let worker_supervised sched wid buf =
+  let inflight = ref None in
   let rec go () =
-    match worker sched wid buf with
+    match worker sched wid buf inflight with
     | () -> ()
     | exception Engine_chaos.Worker_killed _ ->
-        (match sched.inflight.(wid) with
-        | Some id ->
-            sched.inflight.(wid) <- None;
-            if not (Atomic.get (Hashtbl.find sched.done_flags id)) then
-              Deque.push_batch sched.deques.(wid) [ id ]
-        | None -> ());
-        if Atomic.fetch_and_add sched.lives (-1) > 0 then begin
-          Atomic.incr sched.respawned;
-          go ()
-        end
-        else begin
-          Atomic.incr sched.lost;
-          wake sched (max 1 (Deque.length sched.deques.(wid)));
-          if Atomic.fetch_and_add sched.alive (-1) = 1 then shutdown sched
-        end
-    | exception _ -> shutdown sched
+        let respawn =
+          Mutex.protect sched.mu (fun () ->
+              Option.iter
+                (fun id -> if not (Hashtbl.mem sched.published id) then push sched id)
+                !inflight;
+              if sched.lives > 0 then begin
+                sched.lives <- sched.lives - 1;
+                sched.respawned <- sched.respawned + 1;
+                true
+              end
+              else begin
+                sched.lost <- sched.lost + 1;
+                sched.alive <- sched.alive - 1;
+                if sched.alive = 0 then shutdown sched;
+                false
+              end)
+        in
+        inflight := None;
+        if respawn then go ()
+    | exception _ -> Mutex.protect sched.mu (fun () -> shutdown sched)
   in
   go ()
 
@@ -334,7 +204,7 @@ let run_with_stats ?cache ?(oversubscribe = false) ?(sup = Supervisor.default)
        only adds stop-the-world GC synchronization across time-sliced
        domains (the old pool lost 4–5x to this) — so [jobs] caps
        concurrency and the hardware caps the domain count.
-       [oversubscribe] bypasses the clamp so the stealing path is
+       [oversubscribe] bypasses the clamp so multi-domain scheduling is
        testable on any machine. *)
     let jobs =
       if oversubscribe then jobs else min jobs (Domain.recommended_domain_count ())
@@ -344,41 +214,31 @@ let run_with_stats ?cache ?(oversubscribe = false) ?(sup = Supervisor.default)
         dag;
         cache;
         sup;
-        deques = Array.init jobs (fun _ -> Deque.create ());
-        indeg = Hashtbl.create (max 16 total);
-        done_flags = Hashtbl.create (max 16 total);
-        inflight = Array.make jobs None;
-        completed = Atomic.make 0;
         total;
-        lives = Atomic.make (max 0 max_respawns);
-        alive = Atomic.make jobs;
-        respawned = Atomic.make 0;
-        lost = Atomic.make 0;
-        sleep_mu = Mutex.create ();
-        sleep_cond = Condition.create ();
-        sleepers = 0;
-        epoch = 0;
-        shutdown = false;
         t0 = Clock.now ();
+        mu = Mutex.create ();
+        cond = Condition.create ();
+        ready = [];
+        indeg = Hashtbl.create (max 16 total);
+        published = Hashtbl.create (max 16 total);
+        completed = 0;
+        lives = max 0 max_respawns;
+        alive = jobs;
+        respawned = 0;
+        lost = 0;
+        shutdown = false;
       }
     in
     Option.iter
       (fun c -> Option.iter (Cache.set_chaos c) sup.Supervisor.chaos)
       cache;
+    (* roots pushed in DAG order (the last root runs first) and
+       released dependents in [Dag.dependents_of] order: together they
+       fix the [jobs = 1] schedule *)
     List.iter
       (fun (o : Obligation.t) ->
-        Hashtbl.replace sched.indeg o.id (Atomic.make (List.length o.deps));
-        Hashtbl.replace sched.done_flags o.id (Atomic.make false))
-      obls;
-    (* roots dealt round-robin so workers start with local work instead
-       of a steal storm on worker 0 *)
-    let nroots = ref 0 in
-    List.iter
-      (fun (o : Obligation.t) ->
-        if o.deps = [] then begin
-          Deque.push_batch sched.deques.(!nroots mod jobs) [ o.id ];
-          incr nroots
-        end)
+        Hashtbl.replace sched.indeg o.id (List.length o.deps);
+        if o.deps = [] then sched.ready <- o.id :: sched.ready)
       obls;
     let bufs = Array.init jobs (fun _ -> ref []) in
     if jobs = 1 then
@@ -419,7 +279,7 @@ let run_with_stats ?cache ?(oversubscribe = false) ?(sup = Supervisor.default)
               })
         obls
     in
-    (execs, { respawns = Atomic.get sched.respawned; lost_workers = Atomic.get sched.lost })
+    (execs, { respawns = sched.respawned; lost_workers = sched.lost })
   end
 
 let run ?cache ?oversubscribe ?sup ?max_respawns ~jobs dag =

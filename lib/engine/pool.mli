@@ -1,21 +1,21 @@
-(** OCaml 5 [Domain] worker pool over an obligation DAG, with
-    per-worker work-stealing deques.
+(** OCaml 5 [Domain] worker pool over an obligation DAG, with one
+    shared ready stack.
 
     [run ~jobs dag] executes every obligation, respecting dependency
-    edges, on up to [jobs] domains.  Each worker owns a Chase–Lev-style
-    deque: dependents it releases go to its own deque (hot end), and a
-    worker that runs dry steals the cold half of a victim's deque in
-    one batch.  Idle workers park on a condition variable and are woken
-    by targeted [signal]s — one per surplus item published, never a
-    broadcast until shutdown.
+    edges, on up to [jobs] domains.  Ready obligations sit on one LIFO
+    stack guarded by one mutex: roots are pushed in DAG order, and the
+    dependents an obligation releases are pushed in
+    {!Dag.dependents_of} order, so they run while their inputs are
+    warm.  Idle workers wait on one condition variable, signalled once
+    per obligation made ready; the only broadcast is at shutdown.
 
     [jobs] caps concurrency; the pool additionally never spawns more
     domains than [Domain.recommended_domain_count ()], because active
     domains beyond the hardware only add stop-the-world GC
     synchronization to CPU-bound work.  [jobs = 1] (or a one-core
     clamp) runs inline on the calling domain with no spawn at all.
-    [~oversubscribe:true] bypasses the clamp (tests use it to exercise
-    the stealing path on any machine).
+    [~oversubscribe:true] bypasses the clamp, so tests on a one-core
+    machine still exercise multi-domain scheduling.
 
     Results come back in the DAG's insertion order, so the merged
     output is byte-identical at any job count; only the trace metadata
@@ -36,16 +36,19 @@
     a one-failure report rather than tearing down the pool, and
     quarantined outcomes are never cached; clean and fallback outcomes
     are.  Each [exec] carries the supervision {!Supervisor.trail}.
+    Any other exception in a worker (an [on_outcome] hook that raises,
+    say) shuts the pool down: the run still returns, with a crash
+    outcome for every obligation that never published.
 
     When [sup.chaos] is armed, workers additionally pass kill points
     before executing and before publishing an obligation; a chaos kill
-    tears the worker down mid-flight.  The obligation it held is
-    re-enqueued and the worker respawns while the shared [?max_respawns]
-    budget (default 32) lasts; past it the worker stays dead and its
-    queued work drains onto the survivors via the stealing path.  A
-    per-obligation publish flag keeps dependent release and completion
-    counting exactly-once even when a kill lands between computing and
-    publishing a result (the obligation simply runs again). *)
+    tears the worker down mid-flight.  The obligation it held goes back
+    on the ready stack and the worker respawns while the shared
+    [?max_respawns] budget (default 32) lasts; past it the worker stays
+    dead and the survivors take what is left.  A per-obligation publish
+    flag keeps dependent release and completion counting exactly-once
+    even when a kill lands between computing and publishing a result
+    (the obligation simply runs again). *)
 
 type cache_status = Hit | Miss | Off
 

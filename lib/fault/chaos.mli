@@ -96,4 +96,3 @@ val run :
     at the first failure and return it shrunk.  [len] defaults to 40
     events per trace. *)
 
-val to_report : stats -> counterexample option -> Mirverif.Report.t

@@ -77,18 +77,16 @@ type engine_kind =
   | Obl_hang  (** an obligation stops making progress until its deadline *)
   | Worker_kill  (** a worker domain dies between obligations or before publishing *)
   | Torn_pack  (** a cache pack file is truncated mid-write *)
-  | Truncated_proof  (** a legacy [.proof] entry is cut short *)
   | Clock_skew  (** the engine clock jumps forward in small steps *)
 
 let all_engine_kinds =
-  [ Obl_crash; Obl_hang; Worker_kill; Torn_pack; Truncated_proof; Clock_skew ]
+  [ Obl_crash; Obl_hang; Worker_kill; Torn_pack; Clock_skew ]
 
 let engine_kind_to_string = function
   | Obl_crash -> "obl-crash"
   | Obl_hang -> "obl-hang"
   | Worker_kill -> "worker-kill"
   | Torn_pack -> "torn-pack"
-  | Truncated_proof -> "truncated-proof"
   | Clock_skew -> "clock-skew"
 
 let engine_kind_of_string s =

@@ -69,7 +69,6 @@ type engine_kind =
       (** a worker domain dies between obligations or after computing a
           result but before publishing it *)
   | Torn_pack  (** a cache pack file is truncated mid-write *)
-  | Truncated_proof  (** a legacy [.proof] entry is cut short *)
   | Clock_skew  (** the engine clock jumps forward in small steps *)
 
 val all_engine_kinds : engine_kind list

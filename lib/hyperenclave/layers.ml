@@ -122,9 +122,6 @@ let functions_of_layer layout layer =
       else None)
     (Mem_spec.all layout)
 
-let verified_function_count layout =
-  List.length (compiled layout).Rustlite.Pipeline.function_names
-
 let layer_count = List.length Mem_spec.layer_names
 
 let stratification_ok layout = Layer.check_stratified (stack layout)

@@ -36,7 +36,6 @@ val body_digest : Layout.t -> string -> string
 val layer_of_function : Layout.t -> string -> string option
 val functions_of_layer : Layout.t -> string -> string list
 
-val verified_function_count : Layout.t -> int
 val layer_count : int
 
 val stratification_ok : Layout.t -> Mirverif.Layer.stratification_issue list

@@ -127,7 +127,6 @@ module Reader = struct
 
   let create () = { buf = "" }
   let feed t s = t.buf <- t.buf ^ s
-  let buffered t = String.length t.buf
 
   let next t : [ `Frame of string | `More | `Oversized of int ] =
     let len = String.length t.buf in

@@ -49,7 +49,6 @@ module Reader : sig
 
   val create : unit -> t
   val feed : t -> string -> unit
-  val buffered : t -> int
 
   val next : t -> [ `Frame of string | `More | `Oversized of int ]
   (** [`More]: a torn read so far — keep feeding.  [`Oversized]: the

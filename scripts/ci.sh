@@ -154,12 +154,11 @@ echo "ci: lints clean on the seed stack (incl. borrow + alias), all negative fix
 
 # --- engine-chaos smoke gate ----------------------------------------
 # A fixed-seed chaos run (injected obligation crashes/hangs, worker
-# kills, torn packs, truncated .proof files, clock skew) must
-# terminate with exit code 0 and verdicts byte-identical to the clean
-# run above: the supervisor absorbs every injected fault.  The warm
-# rerun over the chaos-torn cache must also match (corrupt entries are
-# evicted and recomputed, never trusted), and no cache write may have
-# been silently dropped.
+# kills, torn packs, clock skew) must terminate with exit code 0 and
+# verdicts byte-identical to the clean run above: the supervisor
+# absorbs every injected fault.  The warm rerun over the chaos-torn
+# cache must also match (corrupt entries are evicted and recomputed,
+# never trusted), and no cache write may have been silently dropped.
 dune exec bin/hyperenclave_verify.exe -- \
   --quick --seed 2024 --jobs 4 --engine-chaos 42 \
   --timeout-ms 200 --retries 2 --cache "$workdir/chaos-cache" \

@@ -191,8 +191,8 @@ let render execs =
 
 let test_jobs_invariant_reports () =
   let r1 = render (Pool.run ~jobs:1 plan.Plan.dag) in
-  (* oversubscribe past the hardware clamp so the work-stealing domain
-     path is exercised even on a one-core CI machine *)
+  (* oversubscribe past the hardware clamp so multi-domain scheduling
+     is exercised even on a one-core CI machine *)
   let r4 = render (Pool.run ~oversubscribe:true ~jobs:4 plan.Plan.dag) in
   Alcotest.(check string) "jobs=1 and jobs=4 produce identical reports" r1 r4
 
@@ -269,35 +269,45 @@ let test_cache_warm_real_plan () =
     (List.for_all (( = ) Pool.Hit) (statuses warm));
   Alcotest.(check string) "warm run reports identical" (render cold) (render warm)
 
+(* seed one entry through the pool's path and return its pack file *)
+let flush_one dir cache o =
+  Cache.stash cache o (o.Obligation.run ());
+  Cache.flush cache;
+  match List.filter (fun f -> Filename.check_suffix f ".pack") (Array.to_list (Sys.readdir dir)) with
+  | [ f ] -> Filename.concat dir f
+  | fs -> Alcotest.failf "expected one pack, found %d" (List.length fs)
+
+let overwrite file contents =
+  let oc = open_out_bin file in
+  output_string oc contents;
+  close_out oc
+
 let test_cache_corrupt_entry_is_a_miss () =
   let dir = fresh_dir () in
-  let cache = Cache.create ~dir in
   let o = pass_obl ~fingerprint:"fp-corrupt" "x" in
-  Cache.store cache o (o.Obligation.run ());
-  let file = Filename.concat dir (Cache.key o ^ ".proof") in
-  let oc = open_out_bin file in
-  output_string oc "garbage";
-  close_out oc;
-  Alcotest.(check bool) "corrupt entry misses" true (Cache.find cache o = None);
-  (* the unreadable file can never become valid (its key encodes the
+  let pack = flush_one dir (Cache.create ~dir) o in
+  (* our own magic header, then a payload Marshal cannot read *)
+  let header = "MVEC1\n" ^ Sys.ocaml_version ^ "\n" in
+  overwrite pack (header ^ "garbage");
+  let reloaded = Cache.create ~dir in
+  Alcotest.(check bool) "corrupt entry misses" true (Cache.find reloaded o = None);
+  (* the unreadable pack can never become valid (its keys encode the
      fingerprint), so the miss must also evict it *)
-  Alcotest.(check bool) "corrupt entry evicted" false (Sys.file_exists file)
+  Alcotest.(check bool) "corrupt pack evicted" false (Sys.file_exists pack)
 
 let test_cache_stale_magic_evicted () =
   let dir = fresh_dir () in
-  let cache = Cache.create ~dir in
   let o = pass_obl ~fingerprint:"fp-stale" "y" in
-  let file = Filename.concat dir (Cache.key o ^ ".proof") in
-  (* a well-formed entry from a different OCaml toolchain: full-length
+  let pack = flush_one dir (Cache.create ~dir) o in
+  (* a well-formed pack from a different OCaml toolchain: full-length
      magic header that doesn't match ours, then an arbitrary payload *)
-  let oc = open_out_bin file in
-  output_string oc ("MVEC1\n0.00.0-other-compiler-version\n" ^ String.make 64 'x');
-  close_out oc;
-  Alcotest.(check bool) "stale-magic entry misses" true (Cache.find cache o = None);
-  Alcotest.(check bool) "stale-magic entry evicted" false (Sys.file_exists file);
-  (* and a subsequent store repopulates it normally *)
-  Cache.store cache o (o.Obligation.run ());
-  Alcotest.(check bool) "restored entry hits" true (Cache.find cache o <> None)
+  overwrite pack ("MVEC1\n0.00.0-other-compiler-version\n" ^ String.make 64 'x');
+  let reloaded = Cache.create ~dir in
+  Alcotest.(check bool) "stale-magic entry misses" true (Cache.find reloaded o = None);
+  Alcotest.(check bool) "stale-magic pack evicted" false (Sys.file_exists pack);
+  (* and a subsequent flush repopulates it normally *)
+  ignore (flush_one dir reloaded o);
+  Alcotest.(check bool) "restored entry hits" true (Cache.find (Cache.create ~dir) o <> None)
 
 let test_cache_empty_dir_rejected () =
   (match Cache.create ~dir:"" with
@@ -354,11 +364,9 @@ let test_cache_pack_file_round_trip () =
     |> List.filter (fun f -> Filename.check_suffix f ".pack")
   in
   Alcotest.(check int) "cold run writes one pack" 1 (List.length (packs ()));
-  Alcotest.(check int) "no per-entry files" 0
-    (List.length
-       (List.filter
-          (fun f -> Filename.check_suffix f ".proof")
-          (Array.to_list (Sys.readdir dir))));
+  Alcotest.(check (list string)) "the pack and the flush lock are the only files"
+    (List.sort compare (".lock" :: packs ()))
+    (List.sort compare (Array.to_list (Sys.readdir dir)));
   let reloaded = Cache.create ~dir in
   Alcotest.(check int) "reloaded index sees both entries" 2 (Cache.entry_count reloaded);
   let warm = Pool.run ~cache:reloaded ~jobs:1 (dag ()) in
@@ -377,42 +385,6 @@ let test_cache_pack_file_round_trip () =
   Alcotest.(check bool) "post-eviction run misses and re-executes" true
     (List.for_all (( = ) Pool.Miss) (statuses redo));
   Alcotest.(check int) "re-executed both" 4 !counter
-
-(* a legacy per-entry file written by [store] is still served *)
-let test_cache_legacy_proof_still_read () =
-  let cache = Cache.create ~dir:(fresh_dir ()) in
-  let o = pass_obl ~fingerprint:"fp-legacy" "z" in
-  Cache.store cache o (o.Obligation.run ());
-  let reloaded = Cache.create ~dir:(fresh_dir ()) in
-  ignore reloaded;
-  Alcotest.(check bool) "legacy entry hits" true (Cache.find cache o <> None)
-
-(* a legacy per-entry file and a pack entry under the same key: the
-   pack tier must win with defined precedence, and the stale legacy
-   loser must be evicted so it can never resurface *)
-let test_cache_pack_wins_over_legacy () =
-  let dir = fresh_dir () in
-  let cache = Cache.create ~dir in
-  let o = pass_obl ~fingerprint:"fp-tier" "t" in
-  let tagged log = Obligation.outcome ~log [ Report.add_pass (Report.empty "t") ] in
-  Cache.store cache o (tagged "legacy");
-  Cache.stash cache o (tagged "packed");
-  Cache.flush cache;
-  let proof_files () =
-    Array.to_list (Sys.readdir dir)
-    |> List.filter (fun f -> Filename.check_suffix f ".proof")
-  in
-  Alcotest.(check int) "both tiers populated" 1 (List.length (proof_files ()));
-  (match Cache.find cache o with
-  | Some out -> Alcotest.(check string) "pack tier wins" "packed" out.Obligation.log
-  | None -> Alcotest.fail "entry vanished");
-  Alcotest.(check int) "legacy loser evicted" 0 (List.length (proof_files ()));
-  let reloaded = Cache.create ~dir in
-  match Cache.find reloaded o with
-  | Some out ->
-      Alcotest.(check string) "reload still serves the pack" "packed"
-        out.Obligation.log
-  | None -> Alcotest.fail "pack entry lost after reload"
 
 (* ------------------------------------------------------------------ *)
 (* Override composition: proven gate and shrunk fingerprints           *)
@@ -851,10 +823,6 @@ let () =
             test_cache_skips_crash_outcomes;
           Alcotest.test_case "pack file round trip" `Quick
             test_cache_pack_file_round_trip;
-          Alcotest.test_case "legacy proof files read" `Quick
-            test_cache_legacy_proof_still_read;
-          Alcotest.test_case "pack tier wins over legacy" `Quick
-            test_cache_pack_wins_over_legacy;
         ] );
       ( "overrides",
         [

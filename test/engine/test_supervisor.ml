@@ -360,8 +360,8 @@ let decisions execs =
     execs
 
 let chain n =
-  (* a few dependency chains plus independent roots, so stealing,
-     release and completion all happen under fire *)
+  (* a few dependency chains plus independent roots, so contention on
+     the ready stack, release and completion all happen under fire *)
   List.init n (fun i ->
       let id = Printf.sprintf "c-%03d" i in
       let deps = if i mod 4 = 0 || i = 0 then [] else [ Printf.sprintf "c-%03d" (i - 1) ] in
@@ -507,7 +507,8 @@ let test_dead_worker_synthesizes_crash_outcome () =
         (Supervisor.resolution_to_string e.Pool.trail.Supervisor.resolution)
   | _ -> Alcotest.fail "expected exactly one exec"
 
-(* with survivors, a dead worker's queued obligations drain onto them *)
+(* with survivors, the obligations a dead worker would have run drain
+   onto them *)
 let test_dead_worker_drains_to_survivors () =
   let seed = kill_seed ~site:"pre-exec" ~id:"victim" in
   let dag =
@@ -524,10 +525,46 @@ let test_dead_worker_drains_to_survivors () =
     List.filter (fun (e : Pool.exec) -> e.Pool.worker = -1) execs
   in
   (* only the obligation the dead worker held in-flight may be lost;
-     everything queued was stolen and completed by the survivors *)
+     everything ready was completed by the survivors *)
   Alcotest.(check bool) "at most the in-flight obligation lost" true
     (List.length unfinished <= 1);
   Alcotest.(check int) "all obligations accounted for" 13 (List.length execs)
+
+(* An [on_outcome] hook runs outside the supervisor, so its exception
+   escapes to the worker wrapper, which must shut the pool down rather
+   than strand the other workers.  The run still returns every
+   obligation once, in DAG order; whatever never published — the
+   obligation whose hook raised and its dependent at least — is a
+   synthesized crash outcome. *)
+let test_raising_hook_shuts_down jobs () =
+  let raised = ref 0 in
+  let bad =
+    Obligation.v ~id:"bad" ~phase:"test" ~fingerprint:"fp"
+      ~on_outcome:(fun _ -> incr raised; failwith "hook")
+      (fun () -> Obligation.outcome [ Report.add_pass (Report.empty "bad") ])
+  in
+  let obls =
+    (bad :: List.init 8 (fun i -> pass_obl (Printf.sprintf "bg-%d" i)))
+    @ [ pass_obl ~deps:[ "bad" ] "after" ]
+  in
+  let execs, _ =
+    Pool.run_with_stats ~oversubscribe:true ~jobs (Dag.build_exn obls)
+  in
+  Alcotest.(check (list string)) "every obligation once, in DAG order"
+    (List.map (fun (o : Obligation.t) -> o.Obligation.id) obls)
+    (List.map (fun (e : Pool.exec) -> e.Pool.obligation.Obligation.id) execs);
+  Alcotest.(check int) "the hook raised once" 1 !raised;
+  List.iter
+    (fun (e : Pool.exec) ->
+      let id = e.Pool.obligation.Obligation.id in
+      if id = "bad" || id = "after" then
+        Alcotest.(check int) (id ^ " never published") (-1) e.Pool.worker;
+      if e.Pool.worker = -1 then
+        Alcotest.(check bool) (id ^ " is a crash outcome") true
+          (contains (report_text e.Pool.outcome) "worker exited before publishing a result")
+      else
+        Alcotest.(check int) (id ^ " passed") 0 (Obligation.failure_count e.Pool.outcome))
+    execs
 
 (* ------------------------------------------------------------------ *)
 (* Cache corruption fixtures and write-failure surfacing               *)
@@ -563,25 +600,6 @@ let test_torn_pack_evicted_and_recomputed () =
   Alcotest.(check int) "recomputed cold" 6 !counter;
   Alcotest.(check string) "verdicts match the clean-cache run" (render clean) (render redo)
 
-let test_truncated_proof_evicted_and_recomputed () =
-  let dir = fresh_dir () in
-  let cache = Cache.create ~dir in
-  Cache.set_chaos cache (Chaos.create ~kinds:[ Plan.Truncated_proof ] ~seed:1 ());
-  let o = pass_obl ~fingerprint:"fp-trunc" "x" in
-  let clean_outcome = o.Obligation.run () in
-  Cache.store cache o clean_outcome;
-  let file = Filename.concat dir (Cache.key o ^ ".proof") in
-  Alcotest.(check bool) "entry written then truncated" true (Sys.file_exists file);
-  (* a fresh cache (no pending/index state) must reject and evict it *)
-  let reloaded = Cache.create ~dir in
-  Alcotest.(check bool) "truncated entry is a miss" true (Cache.find reloaded o = None);
-  Alcotest.(check bool) "and is evicted" false (Sys.file_exists file);
-  (* recomputing yields the same verdict as the clean run *)
-  let redo = o.Obligation.run () in
-  Alcotest.(check string) "recomputed verdict matches"
-    (String.concat "\n" (List.map Report.to_string clean_outcome.Obligation.reports))
-    (String.concat "\n" (List.map Report.to_string redo.Obligation.reports))
-
 let test_cache_write_failures_surfaced () =
   let dir = fresh_dir () in
   let cache = Cache.create ~dir in
@@ -592,10 +610,11 @@ let test_cache_write_failures_surfaced () =
   Unix.rmdir dir;
   Cache.flush cache;
   Alcotest.(check int) "flush failure counted" 1 (Cache.write_failure_count cache);
-  Cache.store cache o (o.Obligation.run ());
-  Alcotest.(check int) "store failure counted too" 2 (Cache.write_failure_count cache);
+  Cache.stash cache o (o.Obligation.run ());
+  Cache.flush cache;
+  Alcotest.(check int) "each failed flush counted" 2 (Cache.write_failure_count cache);
   (match Cache.write_failures cache with
-  | [ ("flush", m1); ("store", m2) ] ->
+  | [ ("flush", m1); ("flush", m2) ] ->
       Alcotest.(check bool) "messages carried" true
         (String.length m1 > 0 && String.length m2 > 0)
   | fs -> Alcotest.failf "unexpected failure records (%d)" (List.length fs));
@@ -694,13 +713,15 @@ let () =
             test_dead_worker_synthesizes_crash_outcome;
           Alcotest.test_case "dead worker drains to survivors" `Quick
             test_dead_worker_drains_to_survivors;
+          Alcotest.test_case "raising hook shuts down, jobs 1" `Quick
+            (test_raising_hook_shuts_down 1);
+          Alcotest.test_case "raising hook shuts down, jobs 4" `Quick
+            (test_raising_hook_shuts_down 4);
         ] );
       ( "cache",
         [
           Alcotest.test_case "torn pack evicted + recomputed" `Quick
             test_torn_pack_evicted_and_recomputed;
-          Alcotest.test_case "truncated proof evicted + recomputed" `Quick
-            test_truncated_proof_evicted_and_recomputed;
           Alcotest.test_case "write failures surfaced" `Quick
             test_cache_write_failures_surfaced;
         ] );
